@@ -17,7 +17,38 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 # locally with the same command; override via IDB_FAULT_SEED to explore.
 export IDB_FAULT_SEED="${IDB_FAULT_SEED:-20260808}"
 
+# Thread discipline: the shared WorkerPool is the engine's only source of
+# worker threads. Fails when src/ constructs a thread (std::thread,
+# std::jthread, std::async, pthread_create) anywhere but util/worker_pool.cc
+# and the two coordinator threads, MaintenanceDaemon::Start and
+# DegradationEngine::Start. Each hit is labelled with the function whose
+# definition precedes it; thread_ members of the two coordinators are
+# declarations, not constructions.
+check_thread_spawns() {
+  local hits
+  hits="$(find src -name '*.cc' -o -name '*.h' | sort | xargs awk '
+    FNR == 1 { fn = "" }
+    /^[A-Za-z].*::[A-Za-z_~][A-Za-z0-9_]*\(/ {
+      fn = $0; sub(/\(.*/, "", fn); sub(/.*[ *&]/, "", fn)
+    }
+    /std::(j?thread|async)([^:A-Za-z0-9_]|$)|pthread_create/ {
+      print FILENAME ":" FNR ":" fn ": " $0
+    }' |
+    grep -vE '^src/util/worker_pool\.(cc|h):' |
+    grep -vE '^src/(maintain/maintenance_daemon|degrade/degradation_engine)\.h:[0-9]+:[^:]*: +std::thread thread_;$' |
+    grep -vE '^src/maintain/maintenance_daemon\.cc:[0-9]+:MaintenanceDaemon::Start: +thread_ = std::thread\(' |
+    grep -vE '^src/degrade/degradation_engine\.cc:[0-9]+:DegradationEngine::Start: +thread_ = std::thread\(' ||
+    true)"
+  if [[ -n "$hits" ]]; then
+    echo "verify: threads constructed outside the WorkerPool and the two" \
+      "coordinator threads:" >&2
+    echo "$hits" >&2
+    return 1
+  fi
+}
+
 run_plain() {
+  check_thread_spawns
   cmake -B build -S .
   cmake --build build -j "$JOBS"
   ctest --test-dir build --output-on-failure -j "$JOBS"

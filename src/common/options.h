@@ -110,34 +110,30 @@ struct ReadOptions {
 /// many workers. Per-batch snapshot semantics (one partition latch per
 /// batch) are unchanged at any parallelism.
 struct ScanOptions {
-  /// Number of scan workers a streaming cursor fans out over, and the pool
-  /// size a materialized (Session::Execute) scan drains morsels with.
-  /// 0 (the default) means DegradationOptions::worker_threads — a database
-  /// configured with a worker pool reads with it too — EXCEPT on tables a
-  /// few scan batches long (under ~2k live rows), which stay sequential:
-  /// fanning out costs more than such a scan. Set an explicit value to
-  /// force fan-out regardless of table size; it may exceed the partition
-  /// count (workers share partitions at morsel granularity) and is clamped
-  /// only to the morsel-plan size. 1 scans partitions sequentially inline
-  /// on the consumer's thread (no extra threads, rows in (partition, heap)
-  /// order); higher values run that many scan workers, which interleaves
-  /// rows across morsels in arrival order on the streaming path.
+  /// Scan workers of one statement, on every scan path (streaming cursor,
+  /// materialized scan, aggregate pushdown): the caller's own thread plus
+  /// workers borrowed from the database's shared worker pool. It means AT
+  /// MOST the pool size (DegradationOptions::worker_threads): values above
+  /// it are clamped, and a busy pool may grant fewer — the caller then
+  /// scans the remainder itself; no scan ever starts threads of its own.
+  /// 0 (the default) means the pool size, EXCEPT on tables a few scan
+  /// batches long (under ~2k live rows), which stay on the caller's
+  /// thread: fanning out costs more than such a scan. An explicit value
+  /// forces fan-out regardless of table size; it may exceed the partition
+  /// count (workers share partitions at morsel granularity) and is also
+  /// clamped to the morsel-plan size. 1 scans on the caller's thread with
+  /// rows in (partition, heap) order; higher values interleave rows across
+  /// morsels in arrival order on the streaming path.
   size_t parallelism = 0;
   /// Heap pages per morsel. 0 (the default) = kDefaultMorselPages (16).
   /// Smaller morsels split work finer (better stealing on skew, more claim
   /// overhead); tests force 1 to exercise many morsels on tiny tables.
   uint32_t morsel_pages = 0;
-  /// Capacity of the streaming cursor's prefetch queue, in batches. The
-  /// queue is what lets scan I/O on one partition overlap σ/π evaluation of
-  /// another partition's batch; it is bounded so a slow consumer
-  /// backpressures the workers instead of buffering the table. 0 means
-  /// 2 × parallelism.
-  size_t prefetch_batches = 0;
   /// Predicate & aggregate pushdown below row assembly: stable-column WHERE
   /// terms are evaluated batch-at-a-time on the decoded heap tuples, state
   /// stores are probed only for the surviving rows (one sorted merge per
   /// store instead of one binary search per row), and ungrouped
-  /// COUNT/SUM/AVG/MIN/MAX fold per-partition partials inside the scan
+  /// COUNT/SUM/AVG/MIN/MAX fold per-worker partials inside the scan
   /// workers. On by default; off restores full RowView assembly before σ —
   /// the reference path the pushdown equivalence tests compare against.
   bool pushdown = true;

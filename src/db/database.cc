@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "io/env.h"
-#include "util/parallel.h"
 
 namespace instantdb {
 
@@ -94,8 +93,7 @@ Status Database::OpenImpl() {
   // Partitions rebuild their indexes on the worker pool — partition-
   // parallel recovery, like the degradation passes the pool was sized for.
   for (auto& [id, table] : tables_) {
-    IDB_RETURN_IF_ERROR(
-        table->RebuildIndexes(options_.degradation.worker_threads));
+    IDB_RETURN_IF_ERROR(table->RebuildIndexes(&worker_pool_));
   }
 
   if (options_.degradation.background_thread) {
@@ -152,7 +150,7 @@ Status Database::Recover() {
             return Status::OK();
         }
       },
-      &max_txn_id));
+      &worker_pool_, &max_txn_id));
   // Resume transaction ids above everything in the replay range: a reused
   // id would alias this generation's records on the next recovery.
   tm_->EnsureTxnIdsAbove(max_txn_id);
@@ -169,7 +167,7 @@ Result<const TableDef*> Database::CreateTable(const std::string& name,
   IDB_RETURN_IF_ERROR(catalog_->SaveTo(options_.path + "/CATALOG", env_));
   auto table = std::make_unique<Table>(def, TableDir(def->id), MakeRuntime());
   IDB_RETURN_IF_ERROR(table->Open());
-  IDB_RETURN_IF_ERROR(table->RebuildIndexes());
+  IDB_RETURN_IF_ERROR(table->RebuildIndexes(&worker_pool_));
   degrader_->RegisterTable(table.get());
   tables_[def->id] = std::move(table);
   return def;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "db/table_partition.h"
+#include "util/worker_pool.h"
 
 namespace instantdb {
 
@@ -16,23 +17,13 @@ namespace instantdb {
 /// can make Open() attempt).
 inline constexpr uint32_t kMaxPartitions = 1024;
 
-/// Resume position of a table scan that spans partitions: the partition
-/// currently being walked plus the heap position inside it. Value-semantic
-/// so cursors can checkpoint it between batches.
-struct TableScanPos {
-  uint32_t partition = 0;
-  Rid rid{0, 0};
-};
-
 /// \brief Cursor over ONE partition's heap, from Table::OpenPartitionCursor.
 ///
-/// This is the unit the parallel read path shards on: a consumer that wants
-/// to fan a table scan out itself (the query layer's prefetch workers, the
-/// exposure/attack-window audit benches) opens one cursor per partition and
-/// drains them on distinct threads — partitions own disjoint rows and
-/// latches, so the cursors never contend. Each NextBatch holds the
-/// partition's shared latch only while assembling that batch
-/// (snapshot-per-batch semantics, exactly like Table::ScanBatch).
+/// Opened over a whole partition (OpenPartitionCursor) or over one morsel's
+/// page range (OpenMorselCursor, what the morsel executor drains). Cursors
+/// over distinct partitions never contend: partitions own disjoint rows and
+/// latches. Each NextBatch holds the partition's shared latch only while
+/// assembling that batch (snapshot-per-batch semantics).
 /// Value-semantic and independent of sibling cursors; the Table must
 /// outlive it.
 class PartitionCursor {
@@ -104,10 +95,9 @@ class Table {
   /// they reflect the recovered state.
   Status Open();
   /// Rebuilds every partition's indexes. Partitions are independent, so
-  /// with `worker_threads > 1` they rebuild on a worker pool (the database
-  /// passes the degradation pool size) — this is what cuts recovery time on
-  /// multi-partition tables.
-  Status RebuildIndexes(size_t worker_threads = 1);
+  /// they rebuild in parallel on `pool` (the caller helps) — this is what
+  /// cuts recovery time on multi-partition tables.
+  Status RebuildIndexes(WorkerPool* pool);
   /// Securely drops all storage (DROP TABLE).
   Status Drop();
 
@@ -159,24 +149,11 @@ class Table {
   /// partitions, so no row is ever torn).
   Status ScanRows(const std::function<bool(const RowView&)>& fn) const;
 
-  /// Cursor support: assembles up to `limit` live rows starting at `*pos`
-  /// (default-constructed to start), advancing `*pos` to the resume
-  /// position — which may cross into the next partition — and setting
-  /// `*done` once every partition is exhausted. Each batch holds one
-  /// partition latch at a time, so a slow consumer never blocks writers or
-  /// the degrader; isolation is weak across batches: rows changed between
-  /// two batches may or may not be observed, and a row physically relocated
-  /// by a concurrent update may be missed or observed twice. Pass SIZE_MAX
-  /// to scan everything in one call (snapshot-per-partition semantics).
-  Status ScanBatch(TableScanPos* pos, size_t limit, std::vector<RowView>* out,
-                   bool* done) const;
-
-  /// Opens a cursor over partition `i` only, so parallel consumers can
-  /// shard a table scan themselves (one cursor per partition, one thread
-  /// per cursor). The streaming read path's fan-out workers are built on
-  /// this; it is also the API the degradation-audit benches use to sweep a
-  /// table at device speed. An out-of-range index yields an empty cursor
-  /// (NextBatch reports done immediately) rather than undefined behavior.
+  /// Opens a cursor over partition `i` only, so consumers can shard a table
+  /// scan themselves (one cursor per partition) — the API the
+  /// degradation-audit benches use to sweep a table at device speed. An
+  /// out-of-range index yields an empty cursor (NextBatch reports done
+  /// immediately) rather than undefined behavior.
   PartitionCursor OpenPartitionCursor(uint32_t i) const {
     if (i >= partitions_.size()) return PartitionCursor();
     return PartitionCursor(partitions_[i].get(), i);

@@ -155,20 +155,14 @@ class TablePartition {
   /// is open-ended (end_page == kInvalidPageId) so rows appended after
   /// planning are still observed; an empty partition yields one open-ended
   /// morsel for the same reason. Each morsel carries its own resume
-  /// position through the range-bounded ScanBatch/ScanBatchFiltered
-  /// overloads below.
+  /// position through ScanBatch/ScanBatchFiltered below.
   std::vector<Morsel> MorselPlan(uint32_t pages_per_morsel) const;
 
-  /// Cursor support: assembles up to `limit` live rows starting at heap
-  /// position `*pos` (`Rid{0, 0}` to start) under the shared latch,
-  /// advancing `*pos` to the resume position and setting `*done` once this
-  /// partition's heap is exhausted.
-  Status ScanBatch(Rid* pos, size_t limit, std::vector<RowView>* out,
-                   bool* done) const;
-
-  /// Range-bounded ScanBatch over one morsel's pages: identical semantics,
-  /// but `*done` reports exhaustion of [*pos, end_page) instead of the
-  /// whole heap (end_page == kInvalidPageId restores the unbounded form).
+  /// Cursor support: assembles up to `limit` live rows (appended to `*out`)
+  /// starting at heap position `*pos` (`Rid{0, 0}` to start) under the
+  /// shared latch, advancing `*pos` to the resume position and setting
+  /// `*done` once the page range [*pos, end_page) is exhausted
+  /// (end_page == kInvalidPageId: the whole heap).
   Status ScanBatch(Rid* pos, PageId end_page, size_t limit,
                    std::vector<RowView>* out, bool* done) const;
 
@@ -184,29 +178,10 @@ class TablePartition {
   /// emitted — a selective batch comes out short rather than holding the
   /// latch until it fills. `ws` is per-consumer scratch; `deltas`
   /// accumulates the pushdown accounting (see ScanDeltas).
-  Status ScanBatchFiltered(Rid* pos, size_t limit, const ScanSpec& spec,
-                           ScanWorkspace* ws, std::vector<RowView>* out,
-                           bool* done, ScanDeltas* deltas) const;
-
-  /// Range-bounded pushdown batch over one morsel's pages (the
-  /// MorselPlan/ScanBatchFiltered(range) pair the morsel consumers drive).
   Status ScanBatchFiltered(Rid* pos, PageId end_page, size_t limit,
                            const ScanSpec& spec, ScanWorkspace* ws,
                            std::vector<RowView>* out, bool* done,
                            ScanDeltas* deltas) const;
-
-  /// Whole-partition pushdown scan under ONE shared-latch hold
-  /// (snapshot-per-partition, like ScanRows): assembles survivor batches of
-  /// kScanChunkRows and hands each to `fn`. The vector passed to `fn` is
-  /// reused between calls. The materializing read path and the aggregate
-  /// pushdown drain partitions through this.
-  Status ScanFiltered(const ScanSpec& spec, ScanWorkspace* ws,
-                      const std::function<Status(const std::vector<RowView>&)>& fn,
-                      ScanDeltas* deltas) const;
-
-  /// Tuples decoded per latched chunk of ScanFiltered (matches the
-  /// streaming cursor's batch size).
-  static constexpr size_t kScanChunkRows = 256;
 
   /// Batched store probe: resolves the stored (phase, value) of every id in
   /// `row_ids` (must be ascending) for every degradable column, row-major —
@@ -337,13 +312,6 @@ class TablePartition {
   /// Builds a RowView from a decoded heap tuple (caller holds the latch).
   bool AssembleRow(const HeapTuple& tuple, RowView* view) const;
 
-  /// ScanBatchFiltered's body, minus the latch (ScanFiltered holds it once
-  /// for the whole partition). `end_page` bounds the decoded page range
-  /// (exclusive; kInvalidPageId = to the heap's end).
-  Status ScanChunkLocked(Rid* pos, PageId end_page, size_t limit,
-                         const ScanSpec& spec, ScanWorkspace* ws,
-                         std::vector<RowView>* out, bool* done,
-                         ScanDeltas* deltas) const;
   /// Filters ws->tuples[0..count), probes stores for the survivors
   /// (FindMany merges), and fills `*out` (replace semantics). Caller holds
   /// the shared latch.

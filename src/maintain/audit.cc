@@ -1,11 +1,9 @@
 #include "maintain/audit.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "common/strings.h"
-#include "util/morsel.h"
-#include "util/parallel.h"
+#include "query/morsel_executor.h"
 
 namespace instantdb {
 
@@ -34,10 +32,10 @@ std::string AuditReport::ToString() const {
 
 namespace {
 
-/// Per-partition accumulator. Sweep workers fold one private copy per
-/// claimed morsel, then merge it in under a mutex — the hot row loop never
-/// shares a cache line across workers even when a skewed partition's
-/// morsels are being swept by several of them.
+/// Per-partition accumulator. Each sweep worker folds into its own row of
+/// them, merged once the sweep ends — the hot row loop never shares a
+/// cache line across workers even when a skewed partition's morsels are
+/// being swept by several of them.
 struct PartitionFindings {
   uint64_t rows = 0;
   uint64_t exposed = 0;
@@ -64,79 +62,72 @@ AuditReport DeletionAuditor::Run(const std::vector<Table*>& tables, Micros now,
     const auto& degradable = schema.degradable_columns();
 
     const uint32_t parts = table->num_partitions();
-    std::vector<PartitionFindings> per(parts);
-    std::mutex merge_mu;
-    // Page-range morsels with a null stats sink: audit claims are not query
-    // scans and must not perturb the scan-counter invariant. Read-only
-    // fan-out; cursor batches hold one shared latch at a time, so the audit
-    // never blocks a writer or the degrader for longer than one batch
-    // assembly. Scan errors surface as a Status and abort the whole sweep.
-    MorselScheduler sched(table->MorselPlan(0));
-    const size_t workers =
-        std::max<size_t>(1, std::min<size_t>(workers_, sched.total()));
-    auto sweep = [&](size_t w) -> Status {
-      Morsel morsel;
-      std::vector<RowView> batch;
-      while (sched.Claim(w, &morsel)) {
-        PartitionFindings acc;
-        PartitionCursor cursor = table->OpenMorselCursor(morsel);
-        bool done = false;
-        while (!done) {
-          batch.clear();
-          IDB_RETURN_IF_ERROR(cursor.NextBatch(1024, &batch, &done));
-          for (const RowView& row : batch) {
-            ++acc.rows;
-            size_t removed = 0;
-            for (size_t d = 0; d < degradable.size(); ++d) {
-              const AttributeLcp& lcp = schema.column(degradable[d]).lcp;
-              const int stored = row.phases[d];
-              if (stored >= lcp.num_phases()) {
-                ++removed;
-                continue;
-              }
-              // Phase the LCP expects at the horizon; anything stored
-              // more accurately has outlived a transition deadline.
-              const int expected = lcp.PhaseAt(horizon - row.insert_time);
-              if (stored < expected) {
-                ++acc.exposed;
-                // The value should have left `stored` at this deadline;
-                // the attack window is how long past it we caught it.
-                const Micros deadline =
-                    row.insert_time + lcp.PhaseEndOffset(stored);
-                acc.max_exposure = std::max(acc.max_exposure, now - deadline);
-              }
-            }
-            // Every value at ⊥ but the shell still in the heap: the
-            // disappearance step is overdue (counted per tuple, not per
-            // value, so it never double-counts with exposed_values).
-            if (!degradable.empty() && removed == degradable.size()) {
-              ++acc.overdue_tuples;
-            }
+    // Unaccounted morsel scan (no counters): audit claims are not query
+    // scans and must not perturb the scan-counter invariant. The reference
+    // (non-pushdown) batches assemble every row with its stored phases.
+    // Read-only; each batch holds one shared latch, so the audit never
+    // blocks a writer or the degrader for longer than one batch assembly.
+    // Scan errors surface as a Status and abort the whole sweep.
+    MorselScan scan;
+    scan.table = table;
+    scan.pushdown = false;
+    MorselExecutor executor(scan, workers_);
+    std::vector<std::vector<PartitionFindings>> per_worker(
+        executor.workers(), std::vector<PartitionFindings>(parts));
+    Status swept = executor.Run(pool_, [&](size_t w, const Morsel& morsel,
+                                           const std::vector<RowView>& batch) {
+      PartitionFindings& acc = per_worker[w][morsel.partition];
+      for (const RowView& row : batch) {
+        ++acc.rows;
+        size_t removed = 0;
+        for (size_t d = 0; d < degradable.size(); ++d) {
+          const AttributeLcp& lcp = schema.column(degradable[d]).lcp;
+          const int stored = row.phases[d];
+          if (stored >= lcp.num_phases()) {
+            ++removed;
+            continue;
+          }
+          // Phase the LCP expects at the horizon; anything stored more
+          // accurately has outlived a transition deadline.
+          const int expected = lcp.PhaseAt(horizon - row.insert_time);
+          if (stored < expected) {
+            ++acc.exposed;
+            // The value should have left `stored` at this deadline; the
+            // attack window is how long past it we caught it.
+            const Micros deadline =
+                row.insert_time + lcp.PhaseEndOffset(stored);
+            acc.max_exposure = std::max(acc.max_exposure, now - deadline);
           }
         }
-        std::lock_guard<std::mutex> lock(merge_mu);
-        PartitionFindings& dst = per[morsel.partition];
-        dst.rows += acc.rows;
-        dst.exposed += acc.exposed;
-        dst.overdue_tuples += acc.overdue_tuples;
-        dst.max_exposure = std::max(dst.max_exposure, acc.max_exposure);
+        // Every value at ⊥ but the shell still in the heap: the
+        // disappearance step is overdue (counted per tuple, not per value,
+        // so it never double-counts with exposed_values).
+        if (!degradable.empty() && removed == degradable.size()) {
+          ++acc.overdue_tuples;
+        }
       }
       return Status::OK();
-    };
-    Status swept = pool_ != nullptr ? pool_->Run(workers, workers, sweep)
-                                    : ParallelFor(workers, workers, sweep);
+    });
+    std::vector<PartitionFindings> per(parts);
+    for (const auto& findings_of_worker : per_worker) {
+      for (uint32_t p = 0; p < parts; ++p) {
+        const PartitionFindings& src = findings_of_worker[p];
+        per[p].rows += src.rows;
+        per[p].exposed += src.exposed;
+        per[p].overdue_tuples += src.overdue_tuples;
+        per[p].max_exposure = std::max(per[p].max_exposure, src.max_exposure);
+      }
+    }
     if (swept.ok()) {
       // Index reconciliation stays partition-grained: AuditIndexes is one
       // shared-latch acquisition over the whole partition by design.
-      auto audit_indexes = [&](size_t p) -> Status {
+      swept = pool_->Run(workers_, parts, [&](size_t p) -> Status {
         const TablePartition::IndexAuditCounts index_counts =
             table->partition(static_cast<uint32_t>(p))->AuditIndexes();
         per[p].stale_index = index_counts.stale;
         per[p].missing_index = index_counts.missing;
         return Status::OK();
-      };
-      swept = pool_ != nullptr ? pool_->Run(workers_, parts, audit_indexes)
-                               : ParallelFor(workers_, parts, audit_indexes);
+      });
     }
     if (!swept.ok()) {
       // A partition that cannot even be read counts as exposed: the audit

@@ -96,11 +96,11 @@ struct AuditReport {
 /// \brief Morsel-parallel deletion-assurance sweeper.
 ///
 /// One Run() proves (or refutes) timely degradation across every layer that
-/// holds sensitive bytes: table storage (page-range morsel sweeps over the
-/// same MorselScheduler the parallel read path shards on — `workers` sweep
-/// workers claim with partition affinity and steal from the busiest
-/// partition, so one large partition is shared instead of serializing the
-/// audit), the multi-resolution indexes (TablePartition::AuditIndexes —
+/// holds sensitive bytes: table storage (page-range morsel sweeps on the
+/// same MorselExecutor the read path runs on — `workers` sweep workers
+/// claim with partition affinity and steal from the busiest partition, so
+/// one large partition is shared instead of serializing the audit), the
+/// multi-resolution indexes (TablePartition::AuditIndexes —
 /// one shared-latch acquisition per partition, so a live degrader is never
 /// observed halfway), the WAL segment set (WalManager::AuditExposure) and
 /// the epoch keystore (WalManager::LingeringEpochKeys). Read-only: sweeps
@@ -108,9 +108,10 @@ struct AuditReport {
 /// writers or the degrader for longer than a scan batch.
 class DeletionAuditor {
  public:
-  /// `pool` (optional, not owned) is the Database's shared worker pool the
-  /// sweep borrows threads from; null spawns sweep threads per call.
-  DeletionAuditor(WalManager* wal, size_t workers, WorkerPool* pool = nullptr)
+  /// `pool` (not owned, must outlive the auditor) is the Database's shared
+  /// worker pool the sweep borrows threads from; the calling thread always
+  /// sweeps too, so a busy pool only narrows the fan-out.
+  DeletionAuditor(WalManager* wal, size_t workers, WorkerPool* pool)
       : wal_(wal), workers_(workers == 0 ? 1 : workers), pool_(pool) {}
 
   /// Sweeps `tables` at `now`, granting `grace` of slack: a value is
@@ -124,7 +125,7 @@ class DeletionAuditor {
  private:
   WalManager* const wal_;
   const size_t workers_;
-  WorkerPool* const pool_;  // shared Database pool, may be null
+  WorkerPool* const pool_;  // shared Database pool
 };
 
 }  // namespace instantdb

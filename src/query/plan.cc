@@ -1,6 +1,7 @@
 #include "query/plan.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <condition_variable>
 #include <cstdint>
@@ -8,12 +9,9 @@
 #include <deque>
 #include <mutex>
 
-#include "common/cancel.h"
 #include "common/strings.h"
+#include "query/morsel_executor.h"
 #include "query/predicate.h"
-#include "util/morsel.h"
-#include "util/parallel.h"
-#include "util/worker_pool.h"
 
 namespace instantdb {
 namespace plan {
@@ -25,38 +23,34 @@ namespace {
 /// small enough that a batch never holds a partition latch for long.
 constexpr size_t kMaterializedScanBatchRows = 1024;
 
-/// Statement budget captured when a source opens: every scan path probes
-/// the deadline and the CancelToken (ScanOptions) at morsel-claim and batch
-/// granularity, so a doomed statement stops within one batch, releases its
-/// workers (pool tokens are waited out by the normal error paths), and
-/// fails partial-safe with Timeout/Aborted.
-struct ScanBudget {
-  const Clock* clock = nullptr;
-  Micros deadline = 0;
-  const CancelToken* cancel = nullptr;
-
-  static ScanBudget Of(Session* session) {
-    return ScanBudget{session->db()->clock(),
-                      session->scan_options().deadline,
-                      session->scan_options().cancel};
-  }
-  Status Check() const {
-    if (deadline == 0 && cancel == nullptr) return Status::OK();
-    return CheckStatementBudget(clock, deadline, cancel);
-  }
-};
-
-/// Folds one scan's ScanDeltas into the database's atomic counters — once
-/// per batch, outside any partition latch.
-void FoldDeltas(Database::ScanCounters* counters, const ScanDeltas& deltas) {
-  counters->rows.fetch_add(deltas.rows_scanned, std::memory_order_relaxed);
-  counters->rows_prefiltered.fetch_add(deltas.rows_prefiltered,
-                                       std::memory_order_relaxed);
-  counters->store_probes_issued.fetch_add(deltas.probes_issued,
-                                          std::memory_order_relaxed);
-  counters->store_probes_skipped.fetch_add(deltas.probes_skipped,
-                                           std::memory_order_relaxed);
+ScanBudget BudgetOf(Session* session) {
+  return ScanBudget{session->db()->clock(), session->scan_options().deadline,
+                    session->scan_options().cancel};
 }
+
+/// The morsel scan of one bound query under the session's ScanOptions, with
+/// the stable WHERE terms pushed below row assembly when pushdown is on.
+/// Not copyable: `scan.spec` points at `filter`.
+struct QueryScan {
+  QueryScan(Session* session, const BoundQuery& query, size_t batch_rows)
+      : filter(query.table->schema(), query.predicates) {
+    scan.table = query.table;
+    scan.pushdown = session->scan_options().pushdown;
+    scan.spec.filter = filter.empty() ? nullptr : &filter;
+    // COUNT(*) and stable-only queries reference no degradable column: the
+    // scan never touches a state store at all.
+    scan.spec.need_degradable = !query.referenced_degradable.empty();
+    scan.batch_rows = batch_rows;
+    scan.morsel_pages = session->scan_options().morsel_pages;
+    scan.budget = BudgetOf(session);
+    scan.counters = session->db()->scan_counters();
+  }
+  QueryScan(const QueryScan&) = delete;
+  QueryScan& operator=(const QueryScan&) = delete;
+
+  const StablePredicateFilter filter;
+  MorselScan scan;
+};
 
 /// Finds the level of a literal value in a hierarchy (tree labels can sit at
 /// any level; interval bucket bounds at several — prefer the leaf).
@@ -261,150 +255,35 @@ bool EvalDegradablePredicate(const DomainHierarchy& hierarchy,
   return false;
 }
 
-/// Streams the heap sequentially in batches of `batch_rows` RowViews,
-/// walking the table's partitions in order (the resume position carries the
-/// current partition plus the heap position inside it) and re-acquiring one
-/// partition's shared latch per batch so a slow consumer never blocks
-/// writers or the degrader on any partition. Isolation is
-/// snapshot-per-batch (standard cursor semantics): rows inserted, deleted
-/// or degraded between two pulls may or may not be observed. This is the
-/// resolved-parallelism-1 path: no threads, rows in (partition, heap)
-/// order.
-class HeapScanSource : public RowSource {
+/// Streaming source. The consumer is the executor's worker 0; it borrows up
+/// to workers − 1 pool tokens as prefetch producers, which claim morsels,
+/// run whole-batch σ and push qualifying batches into a queue bounded at 2
+/// × producers (a slow consumer backpressures them). Whenever that queue
+/// is empty the consumer retries the borrow for any producer the pool has
+/// not granted yet, then claims and scans a batch itself, so a cursor the
+/// busy pool granted fewer producers — or none — still makes progress, and
+/// no thread is ever spawned. At one worker there are no producers: rows
+/// come out in (partition, heap) order. Per-batch snapshot semantics are
+/// the same at any parallelism; only the interleaving of morsels changes.
+/// Batch storage circulates: drained batches return to a spare pool the
+/// producers refill, so a steady-state scan stops allocating. The consumer
+/// counts a prefetch stall each time it has to wait on producers.
+class StreamingScanSource : public RowSource {
  public:
-  HeapScanSource(Session* session, const BoundQuery& query, size_t batch_rows)
+  StreamingScanSource(Session* session, const BoundQuery& query,
+                      size_t batch_rows, size_t workers)
       : read_options_(session->read_options()),
-        counters_(session->db()->scan_counters()),
-        budget_(ScanBudget::Of(session)),
         query_(query),
-        batch_rows_(batch_rows),
-        pushdown_(session->scan_options().pushdown),
-        filter_(query.table->schema(), query.predicates) {
-    spec_.filter = filter_.empty() ? nullptr : &filter_;
-    spec_.need_degradable = !query.referenced_degradable.empty();
-  }
-
-  Result<bool> NextBatch(EvaluatedBatch* out) override {
-    out->Clear();
-    // Keep pulling heap batches until one yields a qualifying row (a batch
-    // may be fully filtered by σ) or the scan ends.
-    while (out->size == 0) {
-      if (done_) return false;
-      IDB_RETURN_IF_ERROR(budget_.Check());
-      if (pushdown_) {
-        IDB_RETURN_IF_ERROR(PullPushdownBatch());
-      } else {
-        views_.clear();
-        IDB_RETURN_IF_ERROR(
-            query_.table->ScanBatch(&pos_, batch_rows_, &views_, &done_));
-        if (!views_.empty()) {
-          counters_->batches.fetch_add(1, std::memory_order_relaxed);
-          counters_->rows.fetch_add(views_.size(), std::memory_order_relaxed);
-        }
-      }
-      if (views_.empty()) continue;  // exhausted or fully prefiltered
-      EvaluateViews(query_, read_options_, views_, out, pushdown_);
-    }
-    return true;
-  }
-
- private:
-  /// One latched chunk from the current partition's pushdown cursor,
-  /// advancing to the next partition on exhaustion. Partition order is the
-  /// legacy path's (partition, heap) order.
-  Status PullPushdownBatch() {
-    if (!cursor_open_) {
-      if (partition_ >= query_.table->num_partitions()) {
-        done_ = true;
-        views_.clear();
-        return Status::OK();
-      }
-      cursor_ = query_.table->OpenPartitionCursor(partition_);
-      cursor_open_ = true;
-    }
-    ScanDeltas deltas;
-    bool partition_done = false;
-    IDB_RETURN_IF_ERROR(cursor_.NextBatch(batch_rows_, spec_, &ws_, &views_,
-                                          &partition_done, &deltas));
-    if (partition_done) {
-      cursor_open_ = false;
-      ++partition_;
-      if (partition_ >= query_.table->num_partitions()) done_ = true;
-    }
-    if (deltas.rows_scanned > 0) {
-      counters_->batches.fetch_add(1, std::memory_order_relaxed);
-      FoldDeltas(counters_, deltas);
-    }
-    return Status::OK();
-  }
-
-  const ReadOptions read_options_;
-  Database::ScanCounters* const counters_;
-  const ScanBudget budget_;
-  const BoundQuery& query_;
-  const size_t batch_rows_;
-  const bool pushdown_;
-  const StablePredicateFilter filter_;
-  ScanSpec spec_;
-  ScanWorkspace ws_;
-  TableScanPos pos_;
-  uint32_t partition_ = 0;
-  PartitionCursor cursor_;
-  bool cursor_open_ = false;
-  bool done_ = false;
-  std::vector<RowView> views_;
-};
-
-/// Morsel fan-out source: `workers` prefetch threads claim page-range
-/// morsels from the shared MorselScheduler (partition-affine home queues,
-/// stealing from the busiest partition when their own runs dry — so
-/// parallelism is not capped by the partition count and one skewed
-/// partition is shared), pull ScanBatch batches under that partition's
-/// shared latch, run whole-batch σ, and push the qualifying batches into a
-/// bounded queue the consumer drains. Per-batch snapshot semantics are
-/// exactly the sequential source's — parallelism changes only which
-/// morsels' batches interleave, never what one batch may contain. Producer
-/// threads are borrowed from the Database's shared worker pool when it has
-/// idle capacity; the shortfall is spawned, because a streaming consumer
-/// waits on `producers_live_ > 0` and the producer count must therefore be
-/// guaranteed, not best-effort. Batch storage circulates: drained batches
-/// return to a spare pool the workers refill, so a steady-state scan stops
-/// allocating. The queue bound backpressures workers when the consumer is
-/// slow; the consumer counts a prefetch stall each time it finds the queue
-/// empty while workers are still producing.
-class ParallelScanSource : public RowSource {
- public:
-  ParallelScanSource(Session* session, const BoundQuery& query,
-                     size_t batch_rows, size_t workers, size_t queue_batches,
-                     std::vector<std::vector<Morsel>> plan)
-      : read_options_(session->read_options()),
-        counters_(session->db()->scan_counters()),
-        budget_(ScanBudget::Of(session)),
         pool_(session->db()->worker_pool()),
-        query_(query),
-        batch_rows_(batch_rows),
-        queue_capacity_(std::max<size_t>(queue_batches, 1)),
-        pushdown_(session->scan_options().pushdown),
-        filter_(query.table->schema(), query.predicates),
-        sched_(std::move(plan),
-               MorselStatsSink{&counters_->morsels_claimed,
-                               &counters_->morsels_stolen,
-                               &counters_->steal_failures}) {
-    spec_.filter = filter_.empty() ? nullptr : &filter_;
-    spec_.need_degradable = !query.referenced_degradable.empty();
-    // The shortfall must be computed from the immutable `want`, never from
-    // producers_live_: borrowed pool producers start (and may finish,
-    // decrementing producers_live_) while this constructor is still running.
-    const size_t want = std::max<size_t>(workers, 1);
-    producers_live_ = want;
-    const size_t borrowed = pool_->TryDispatch(
-        want, [this](size_t) { ProduceLoop(); }, &ticket_);
-    if (borrowed < want) {
-      runner_.Start(want - borrowed, [this](size_t) { ProduceLoop(); });
-    }
+        scan_(session, query, batch_rows),
+        executor_(scan_.scan, workers),
+        consumer_(&executor_, 0),
+        want_(executor_.workers() - 1) {
+    std::lock_guard<std::mutex> lock(mu_);
+    BorrowProducersLocked();
   }
 
-  ~ParallelScanSource() override {
+  ~StreamingScanSource() override {
     {
       // The lock orders the store against a producer's wait predicate so
       // the notify cannot fall between its check and its sleep.
@@ -412,7 +291,6 @@ class ParallelScanSource : public RowSource {
       closed_.store(true, std::memory_order_relaxed);
     }
     cv_.notify_all();
-    runner_.Join();
     pool_->Wait(&ticket_);
   }
 
@@ -423,97 +301,74 @@ class ParallelScanSource : public RowSource {
       if (!error_.ok()) return error_;
       // Consumer-side budget probe, ahead of the queue: once the deadline
       // passes (or the token trips) the cursor reports it on the very next
-      // pull, even when scanned batches are still buffered — a doomed
-      // statement must not keep streaming stale work.
-      IDB_RETURN_IF_ERROR(budget_.Check());
+      // pull, even when scanned batches are still buffered.
+      IDB_RETURN_IF_ERROR(scan_.scan.budget.Check());
       if (!queue_.empty()) {
         out->Clear();
         out->Swap(&queue_.front());
         // The swapped-out storage (the consumer's previous batch) goes back
-        // to the spare pool for a worker to refill.
+        // to the spare pool for a producer to refill.
         spares_.push_back(std::move(queue_.front()));
         queue_.pop_front();
         cv_.notify_all();
         return true;
       }
+      if (!consumer_drained_) {
+        BorrowProducersLocked();
+        lock.unlock();
+        IDB_ASSIGN_OR_RETURN(const bool more, consumer_.Next());
+        if (more) {
+          out->Clear();
+          EvaluateViews(query_, read_options_, consumer_.views(), out,
+                        scan_.scan.pushdown);
+          if (out->size > 0) return true;
+        } else {
+          consumer_drained_ = true;
+        }
+        lock.lock();
+        continue;
+      }
       if (producers_live_ == 0) return false;
-      // One stall per pull that found the queue empty — not one per wakeup,
-      // or producer-exit notifications would inflate the producer-bound
-      // signal the benches read.
+      // One stall per pull that had to wait, not one per wakeup.
       if (!stalled) {
         stalled = true;
-        counters_->prefetch_stalls.fetch_add(1, std::memory_order_relaxed);
+        scan_.scan.counters->prefetch_stalls.fetch_add(
+            1, std::memory_order_relaxed);
       }
       cv_.wait(lock);
     }
   }
 
  private:
-  void ProduceLoop() {
-    // Stable worker id for morsel affinity: worker w's home queue is
-    // partition w % partitions, so distinct producers start on distinct
-    // partitions and only meet on one when stealing.
-    const size_t worker = worker_ids_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<RowView> views;
+  /// Borrows free pool workers as producers, up to want_ in all. Under mu_,
+  /// so a new producer cannot publish or exit before it is counted.
+  void BorrowProducersLocked() {
+    if (borrowed_ == want_) return;
+    const size_t first_id = borrowed_ + 1;
+    const size_t granted = pool_->TryDispatch(
+        want_ - borrowed_,
+        [this, first_id](size_t slot) { ProduceLoop(first_id + slot); },
+        &ticket_);
+    borrowed_ += granted;
+    producers_live_ += granted;
+    queue_capacity_ = 2 * borrowed_;
+  }
+
+  void ProduceLoop(size_t id) {
+    MorselExecutor::Worker worker(&executor_, id);
     EvaluatedBatch batch;
-    ScanWorkspace ws;
     Status status;
-    Morsel morsel;
-    for (;;) {
-      // Morsel-claim budget check: a producer whose statement timed out or
-      // was cancelled stops claiming; the error wakes the consumer and the
-      // destructor's join/Wait releases every borrowed pool token.
-      status = budget_.Check();
-      if (!status.ok()) break;
-      if (!sched_.Claim(worker, &morsel)) break;
-      PartitionCursor cursor = query_.table->OpenMorselCursor(morsel);
-      bool done = false;
-      while (!done) {
-        // An early Close (cursor dropped mid-stream) must not keep workers
-        // scanning the rest of the table before the destructor can join.
-        if (closed_.load(std::memory_order_relaxed)) return;
-        status = budget_.Check();
-        if (!status.ok()) break;
-        if (pushdown_) {
-          ScanDeltas deltas;
-          status =
-              cursor.NextBatch(batch_rows_, spec_, &ws, &views, &done, &deltas);
-          if (!status.ok()) break;
-          if (deltas.rows_scanned > 0) {
-            counters_->batches.fetch_add(1, std::memory_order_relaxed);
-            FoldDeltas(counters_, deltas);
-          }
-        } else {
-          views.clear();
-          status = cursor.NextBatch(batch_rows_, &views, &done);
-          if (!status.ok()) break;
-          if (!views.empty()) {
-            counters_->batches.fetch_add(1, std::memory_order_relaxed);
-            counters_->rows.fetch_add(views.size(), std::memory_order_relaxed);
-          }
-        }
-        if (views.empty()) continue;
-        batch.Clear();
-        EvaluateViews(query_, read_options_, views, &batch, pushdown_);
-        if (batch.size == 0) continue;  // fully filtered: recycle in place,
-                                        // no reason to touch the queue lock
-        std::unique_lock<std::mutex> lock(mu_);
-        while (queue_.size() >= queue_capacity_ &&
-               !closed_.load(std::memory_order_relaxed)) {
-          cv_.wait(lock);
-        }
-        if (closed_.load(std::memory_order_relaxed)) return;
-        queue_.emplace_back();
-        queue_.back().Swap(&batch);
-        if (!spares_.empty()) {
-          // Refill our working storage from the spare pool so the batch we
-          // just published keeps its buffers.
-          batch.Swap(&spares_.back());
-          spares_.pop_back();
-        }
-        cv_.notify_all();
-      }
-      if (!status.ok()) break;
+    // An early Close (cursor dropped mid-stream) stops the producers within
+    // one batch, before the destructor waits them out.
+    while (!closed_.load(std::memory_order_relaxed)) {
+      Result<bool> more = worker.Next();
+      if (!more.ok()) status = more.status();
+      if (!more.ok() || !*more) break;
+      batch.Clear();
+      EvaluateViews(query_, read_options_, worker.views(), &batch,
+                    scan_.scan.pushdown);
+      // A fully filtered batch recycles in place, off the queue lock.
+      if (batch.size > 0 && !Publish(&batch)) break;
     }
     std::lock_guard<std::mutex> lock(mu_);
     if (!status.ok() && error_.ok()) error_ = status;
@@ -521,150 +376,95 @@ class ParallelScanSource : public RowSource {
     cv_.notify_all();
   }
 
+  /// Queues `*batch` (waiting for room) and refills it from the spare
+  /// pool. False when the cursor closed first.
+  bool Publish(EvaluatedBatch* batch) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] {
+      return queue_.size() < queue_capacity_ ||
+             closed_.load(std::memory_order_relaxed);
+    });
+    if (closed_.load(std::memory_order_relaxed)) return false;
+    queue_.emplace_back();
+    queue_.back().Swap(batch);
+    if (!spares_.empty()) {
+      batch->Swap(&spares_.back());
+      spares_.pop_back();
+    }
+    cv_.notify_all();
+    return true;
+  }
+
   const ReadOptions read_options_;
-  Database::ScanCounters* const counters_;
-  const ScanBudget budget_;
-  WorkerPool* const pool_;
   const BoundQuery& query_;
-  const size_t batch_rows_;
-  const size_t queue_capacity_;
-  const bool pushdown_;
-  const StablePredicateFilter filter_;
-  ScanSpec spec_;
-  MorselScheduler sched_;
+  WorkerPool* const pool_;
+  const QueryScan scan_;
+  MorselExecutor executor_;
+  /// The consumer's own worker; touched only by the consumer thread.
+  MorselExecutor::Worker consumer_;
+  bool consumer_drained_ = false;
+  /// Producers wanted and producers borrowed so far (under mu_).
+  const size_t want_;
+  size_t borrowed_ = 0;
 
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<EvaluatedBatch> queue_;
   std::vector<EvaluatedBatch> spares_;
+  size_t queue_capacity_ = 0;
   Status error_;
   size_t producers_live_ = 0;
   /// Atomic so producers can poll it between batches without the mutex.
   std::atomic<bool> closed_{false};
-  std::atomic<size_t> worker_ids_{0};
   WorkerPool::Ticket ticket_;
-  ParallelRunner runner_;
 };
 
-/// Materializing-path source: workers claim page-range morsels from a
-/// shared MorselScheduler and drain each under that partition's shared
-/// latch a batch at a time, with σ applied as the batches stream — so only
-/// qualifying rows are ever held. Snapshot semantics are per batch (the
-/// streaming cursor's), not per partition: a concurrent degrader may land
-/// between two batches of one partition, which every caller already had to
-/// tolerate across partitions. Workers are borrowed from the Database's
-/// shared pool (small tables resolve to 1 and stay inline), and the
-/// per-morsel results merge in morsel-ordinal order — (partition,
-/// begin_page) ascending — so the output order matches the sequential
-/// scan's regardless of parallelism or stealing. Used when the caller asks
-/// for an unbounded batch (Session::Execute, DELETE, aggregates).
+/// Materializing-path source (Session::Execute, DELETE, aggregates that are
+/// not pushed down): drains the whole morsel plan on the executor with σ
+/// applied as batches stream, so only qualifying rows are held, then
+/// concatenates the per-morsel buckets in ordinal order — (partition,
+/// begin_page) ascending — so the output is in heap order at any
+/// parallelism. Snapshot semantics are per batch, as on the streaming path.
 class SnapshotScanSource : public RowSource {
  public:
   SnapshotScanSource(Session* session, const BoundQuery& query,
                      size_t workers)
-      : session_(session),
-        query_(query),
-        workers_(workers),
-        pushdown_(session->scan_options().pushdown),
-        filter_(query.table->schema(), query.predicates) {
-    spec_.filter = filter_.empty() ? nullptr : &filter_;
-    spec_.need_degradable = !query.referenced_degradable.empty();
-  }
+      : session_(session), query_(query), workers_(workers) {}
 
   Result<bool> NextBatch(EvaluatedBatch* out) override {
-    if (!scanned_) {
-      scanned_ = true;
-      IDB_RETURN_IF_ERROR(ScanAll());
-    }
-    if (served_ || result_.size == 0) return false;
-    served_ = true;
+    if (drained_) return false;
+    drained_ = true;
+    const ReadOptions read_options = session_->read_options();
+    const QueryScan scan(session_, query_, kMaterializedScanBatchRows);
+    MorselExecutor executor(scan.scan, workers_);
+    // Each morsel is claimed by exactly one worker, so its bucket needs no
+    // lock.
+    std::vector<std::vector<EvaluatedRow>> per_morsel(executor.total());
+    IDB_RETURN_IF_ERROR(executor.Run(
+        session_->db()->worker_pool(),
+        [&](size_t, const Morsel& morsel, const std::vector<RowView>& views) {
+          std::vector<EvaluatedRow>& bucket = per_morsel[morsel.ordinal];
+          EvaluatedRow row;
+          for (const RowView& view : views) {
+            if (EvaluateRow(query_, read_options, view, &row,
+                            scan.scan.pushdown)) {
+              bucket.push_back(std::move(row));
+            }
+          }
+          return Status::OK();
+        }));
     out->Clear();
-    out->Swap(&result_);
-    return true;
+    for (auto& rows : per_morsel) {
+      for (EvaluatedRow& row : rows) *out->Add() = std::move(row);
+    }
+    return out->size > 0;
   }
 
  private:
-  Status ScanAll() {
-    const Table* table = query_.table;
-    const ReadOptions read_options = session_->read_options();
-    auto* counters = session_->db()->scan_counters();
-    MorselScheduler sched(
-        table->MorselPlan(session_->scan_options().morsel_pages),
-        MorselStatsSink{&counters->morsels_claimed, &counters->morsels_stolen,
-                        &counters->steal_failures});
-    const size_t workers =
-        std::max<size_t>(1, std::min(workers_, sched.total()));
-    // One bucket per morsel, concatenated in ordinal order below: ordinals
-    // are assigned in (partition, begin_page) order, so the merged output
-    // is the sequential scan's order no matter which worker drained what.
-    const ScanBudget budget = ScanBudget::Of(session_);
-    std::vector<std::vector<EvaluatedRow>> per_morsel(sched.total());
-    auto drain = [&](size_t w) -> Status {
-      Morsel morsel;
-      ScanWorkspace ws;
-      EvaluatedRow row;
-      std::vector<RowView> views;
-      while (sched.Claim(w, &morsel)) {
-        IDB_RETURN_IF_ERROR(budget.Check());
-        std::vector<EvaluatedRow>& bucket = per_morsel[morsel.ordinal];
-        PartitionCursor cursor = table->OpenMorselCursor(morsel);
-        bool done = false;
-        while (!done) {
-          IDB_RETURN_IF_ERROR(budget.Check());
-          if (pushdown_) {
-            // Stable predicates run on the decoded tuples and stores are
-            // probed only for the survivors, exactly as on the streaming
-            // path.
-            ScanDeltas deltas;
-            IDB_RETURN_IF_ERROR(cursor.NextBatch(kMaterializedScanBatchRows,
-                                                 spec_, &ws, &views, &done,
-                                                 &deltas));
-            if (deltas.rows_scanned > 0) {
-              counters->batches.fetch_add(1, std::memory_order_relaxed);
-              FoldDeltas(counters, deltas);
-            }
-            for (const RowView& view : views) {
-              if (EvaluateRow(query_, read_options, view, &row,
-                              /*stable_prefiltered=*/true)) {
-                bucket.push_back(std::move(row));
-              }
-            }
-          } else {
-            views.clear();
-            IDB_RETURN_IF_ERROR(
-                cursor.NextBatch(kMaterializedScanBatchRows, &views, &done));
-            if (!views.empty()) {
-              counters->batches.fetch_add(1, std::memory_order_relaxed);
-              counters->rows.fetch_add(views.size(),
-                                       std::memory_order_relaxed);
-            }
-            for (const RowView& view : views) {
-              if (EvaluateRow(query_, read_options, view, &row)) {
-                bucket.push_back(std::move(row));
-              }
-            }
-          }
-        }
-      }
-      return Status::OK();
-    };
-    IDB_RETURN_IF_ERROR(
-        session_->db()->worker_pool()->Run(workers, workers, drain));
-    for (auto& rows : per_morsel) {
-      for (EvaluatedRow& row : rows) *result_.Add() = std::move(row);
-    }
-    return Status::OK();
-  }
-
   Session* const session_;
   const BoundQuery& query_;
   const size_t workers_;
-  const bool pushdown_;
-  const StablePredicateFilter filter_;
-  ScanSpec spec_;
-  bool scanned_ = false;
-  bool served_ = false;
-  EvaluatedBatch result_;
+  bool drained_ = false;
 };
 
 /// Probes the multi-resolution index once (row ids only — cheap), then
@@ -675,7 +475,7 @@ class IndexScanSource : public RowSource {
                   std::vector<RowId> rids, size_t batch_rows)
       : read_options_(session->read_options()),
         counters_(session->db()->scan_counters()),
-        budget_(ScanBudget::Of(session)),
+        budget_(BudgetOf(session)),
         query_(query),
         rids_(std::move(rids)),
         batch_rows_(std::max<size_t>(batch_rows, 1)) {}
@@ -736,19 +536,18 @@ void EvaluateViews(const BoundQuery& query, const ReadOptions& read_options,
 }
 
 size_t ResolveScanParallelism(Session* session, const Table& table) {
+  const size_t pool = session->db()->worker_pool()->size();
   size_t parallelism = session->scan_options().parallelism;
   if (parallelism == 0) {
     // Auto mode stays inline on small tables: worker dispatch costs tens of
     // microseconds, which dwarfs the whole scan of a table a few batches
-    // long (point SELECTs, small aggregates, DELETEs). An explicit
-    // parallelism setting is always honored. No partition clamp: the unit
-    // of parallelism is the morsel, and every scan path clamps to its own
-    // morsel-plan size at dispatch time.
+    // long (point SELECTs, small aggregates, DELETEs).
     if (table.live_rows() < kParallelScanMinRows) return 1;
-    parallelism = std::max<size_t>(
-        session->db()->options().degradation.worker_threads, 1);
+    parallelism = pool;
   }
-  return std::max<size_t>(parallelism, 1);
+  // No partition clamp: the unit of parallelism is the morsel, and the
+  // executor clamps to the morsel-plan size.
+  return std::clamp<size_t>(parallelism, 1, pool);
 }
 
 Result<BoundQuery> BindQuery(Session* session, const std::string& table_name,
@@ -884,30 +683,13 @@ Result<std::unique_ptr<RowSource>> MakeRowSource(Session* session,
         scan_batch_rows == SIZE_MAX ? kStreamingScanBatchRows
                                     : scan_batch_rows));
   }
-  size_t parallelism = ResolveScanParallelism(session, *query.table);
+  const size_t parallelism = ResolveScanParallelism(session, *query.table);
   if (scan_batch_rows == SIZE_MAX) {
     return std::unique_ptr<RowSource>(
         new SnapshotScanSource(session, query, parallelism));
   }
-  std::vector<std::vector<Morsel>> plan;
-  if (parallelism > 1) {
-    // Clamp the fan-out to the actual work: a table one morsel long gains
-    // nothing from prefetch workers or the bounded-queue machinery, and a
-    // two-morsel table needs at most two producers.
-    plan = query.table->MorselPlan(session->scan_options().morsel_pages);
-    size_t total = 0;
-    for (const auto& queue : plan) total += queue.size();
-    parallelism = std::min(parallelism, total);
-  }
-  if (parallelism <= 1) {
-    return std::unique_ptr<RowSource>(
-        new HeapScanSource(session, query, scan_batch_rows));
-  }
-  size_t queue_batches = session->scan_options().prefetch_batches;
-  if (queue_batches == 0) queue_batches = 2 * parallelism;
   return std::unique_ptr<RowSource>(
-      new ParallelScanSource(session, query, scan_batch_rows, parallelism,
-                             queue_batches, std::move(plan)));
+      new StreamingScanSource(session, query, scan_batch_rows, parallelism));
 }
 
 Result<SelectPlan> BindSelect(Session* session, const SelectAst& ast) {
@@ -1046,68 +828,37 @@ void MergePartials(const AggregatePartials& in, AggregatePartials* out) {
 Result<AggregatePartials> ExecuteAggregatePushdown(Session* session,
                                                    const SelectPlan& select) {
   const BoundQuery& query = select.query;
-  const Table* table = query.table;
   const ReadOptions read_options = session->read_options();
-  auto* counters = session->db()->scan_counters();
-
-  const StablePredicateFilter filter(table->schema(), query.predicates);
-  ScanSpec spec;
-  spec.filter = filter.empty() ? nullptr : &filter;
-  // COUNT(*)/stable-only aggregates reference no degradable column: the scan
-  // never touches a state store at all.
-  spec.need_degradable = !query.referenced_degradable.empty();
-
-  MorselScheduler sched(
-      table->MorselPlan(session->scan_options().morsel_pages),
-      MorselStatsSink{&counters->morsels_claimed, &counters->morsels_stolen,
-                      &counters->steal_failures});
-  const size_t workers =
-      std::max<size_t>(1, std::min(ResolveScanParallelism(session, *table),
-                                   sched.total()));
+  const QueryScan scan(session, query, kMaterializedScanBatchRows);
+  MorselExecutor executor(scan.scan,
+                          ResolveScanParallelism(session, *query.table));
   // One partial per WORKER, not per partition: a worker folds every morsel
   // it claims — home partition or stolen — into its own accumulator, and
   // merge associativity makes the claim order irrelevant.
-  const ScanBudget budget = ScanBudget::Of(session);
-  std::vector<AggregatePartials> partials(workers);
-  auto drain = [&](size_t w) -> Status {
-    AggregatePartials& agg = partials[w];
-    InitPartials(select.items.size(), &agg);
-    ScanWorkspace ws;
-    EvaluatedRow row;
-    std::vector<RowView> views;
-    Morsel morsel;
-    while (sched.Claim(w, &morsel)) {
-      IDB_RETURN_IF_ERROR(budget.Check());
-      PartitionCursor cursor = table->OpenMorselCursor(morsel);
-      bool done = false;
-      while (!done) {
-        IDB_RETURN_IF_ERROR(budget.Check());
-        ScanDeltas deltas;
-        IDB_RETURN_IF_ERROR(cursor.NextBatch(kMaterializedScanBatchRows, spec,
-                                             &ws, &views, &done, &deltas));
-        if (deltas.rows_scanned > 0) {
-          counters->batches.fetch_add(1, std::memory_order_relaxed);
-          FoldDeltas(counters, deltas);
-        }
+  std::vector<AggregatePartials> partials(executor.workers());
+  for (AggregatePartials& partial : partials) {
+    InitPartials(select.items.size(), &partial);
+  }
+  IDB_RETURN_IF_ERROR(executor.Run(
+      session->db()->worker_pool(),
+      [&](size_t w, const Morsel&, const std::vector<RowView>& views) {
+        EvaluatedRow row;
         for (const RowView& view : views) {
           if (EvaluateRow(query, read_options, view, &row,
                           /*stable_prefiltered=*/true)) {
-            FoldAggregateRow(select, row, &agg);
+            FoldAggregateRow(select, row, &partials[w]);
           }
         }
-      }
-    }
-    return Status::OK();
-  };
-  IDB_RETURN_IF_ERROR(session->db()->worker_pool()->Run(workers, workers, drain));
+        return Status::OK();
+      }));
 
   AggregatePartials merged;
   InitPartials(select.items.size(), &merged);
   for (const AggregatePartials& partial : partials) {
     MergePartials(partial, &merged);
   }
-  counters->aggregate_partials_merged.fetch_add(workers,
-                                                std::memory_order_relaxed);
+  scan.scan.counters->aggregate_partials_merged.fetch_add(
+      partials.size(), std::memory_order_relaxed);
   return merged;
 }
 

@@ -16,7 +16,7 @@
 /// \brief Internal query-plan layer shared by the streaming Cursor and the
 /// materializing executor: predicate binding, accuracy resolution, and the
 /// batch-at-a-time row source (scan → σ at accuracy level) that both build
-/// on — sequential or fanned out over the table's partitions per the
+/// on, driven by the morsel executor (query/morsel_executor.h) per the
 /// session's ScanOptions.
 ///
 /// Nothing here is part of the stable public API; embedders should use
@@ -119,8 +119,8 @@ std::string RenderValue(const Schema& schema, int col, const Value& value,
 
 /// \brief Pull-based source of qualifying rows: the scan → σ stage of the
 /// operator pipeline, pulled a batch at a time. Implementations stream from
-/// the heap — sequentially or fanned out over the table's partitions by a
-/// prefetch worker pool — or from a multi-resolution index probe.
+/// the heap through the morsel executor or from a multi-resolution index
+/// probe.
 class RowSource {
  public:
   virtual ~RowSource() = default;
@@ -144,17 +144,17 @@ class RowSource {
 inline constexpr size_t kStreamingScanBatchRows = 256;
 
 /// Below this many live rows, auto-resolved parallelism (ScanOptions 0)
-/// stays at 1: spawning scan workers costs more than scanning a
+/// stays at 1: dispatching scan workers costs more than scanning a
 /// few-batches table inline.
 inline constexpr uint64_t kParallelScanMinRows = 8 * kStreamingScanBatchRows;
 
 /// Resolved scan fan-out: how many workers MakeRowSource would use for
-/// `table` under the session's ScanOptions. 0 resolves to
-/// DegradationOptions::worker_threads — but stays 1 on tables below
-/// kParallelScanMinRows, where worker dispatch would dominate. Explicit
-/// values are honored. No partition clamp: scans parallelize at morsel
-/// (page-range) granularity, so the fan-out may exceed the partition count;
-/// each scan path clamps only to its own morsel-plan size.
+/// `table` under the session's ScanOptions — at most the shared worker
+/// pool's size on every path. 0 resolves to the pool size, but stays 1 on
+/// tables below kParallelScanMinRows, where worker dispatch would dominate.
+/// No partition clamp: scans parallelize at morsel (page-range)
+/// granularity, so the fan-out may exceed the partition count; the executor
+/// clamps it to the morsel-plan size.
 size_t ResolveScanParallelism(Session* session, const Table& table);
 
 /// Chooses the access path (index probe when a usable degradable predicate
@@ -165,14 +165,12 @@ size_t ResolveScanParallelism(Session* session, const Table& table);
 /// `scan_batch_rows` sets the heap-scan batch size. The streaming default
 /// keeps memory bounded but releases the latch between batches (weak
 /// cursor isolation: a row relocated by a concurrent update may be missed
-/// or observed twice). With resolved parallelism 1 the scan walks the
-/// table's partitions in order, one partition latch at a time; with more,
-/// that many prefetch workers claim page-range morsels from a shared
-/// work-stealing scheduler (util/morsel.h) and drain them into a bounded
-/// batch queue (rows interleave across morsels in arrival order, still
-/// snapshot-per-batch). The fan-out is clamped to the morsel-plan size, so
-/// a one-morsel table skips the queue machinery entirely and stays on the
-/// sequential source. Materializing callers (Execute, DELETE, aggregates)
+/// or observed twice). With resolved parallelism 1 the consumer scans the
+/// morsels itself in (partition, heap) order, one partition latch at a
+/// time; with more, it borrows pool workers as prefetch producers that
+/// drain morsels into a bounded batch queue (rows interleave across morsels
+/// in arrival order, still snapshot-per-batch) and scans inline whenever
+/// that queue is empty. Materializing callers (Execute, DELETE, aggregates)
 /// pass SIZE_MAX: workers drain morsels a latched batch at a time and the
 /// per-morsel results concatenate in (partition, page) order, so rows come
 /// out in sequential-scan order at any parallelism.

@@ -45,7 +45,8 @@ void WorkerPool::WorkerLoop() {
 size_t WorkerPool::TryDispatch(size_t want, std::function<void(size_t)> fn,
                                Ticket* ticket, bool priority) {
   if (want == 0) return 0;
-  auto state = std::make_shared<Ticket::State>();
+  std::shared_ptr<Ticket::State> state = ticket->state_;
+  if (state == nullptr) state = std::make_shared<Ticket::State>();
   size_t take = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -62,7 +63,10 @@ size_t WorkerPool::TryDispatch(size_t want, std::function<void(size_t)> fn,
     // can never promise the same free worker twice, which is the
     // no-over-commit invariant everything above relies on.
     free_ -= take;
-    state->active = take;
+    {
+      std::lock_guard<std::mutex> active(state->mu);
+      state->active += take;
+    }
     auto shared_fn = std::make_shared<std::function<void(size_t)>>(
         std::move(fn));
     for (size_t slot = 0; slot < take; ++slot) {
@@ -116,7 +120,7 @@ void WorkerPool::Wait(Ticket* ticket) {
 }
 
 Status WorkerPool::Run(size_t workers, size_t count,
-                       const std::function<Status(size_t)>& fn) {
+                       const std::function<Status(size_t)>& fn, bool priority) {
   workers = std::min(std::max<size_t>(workers, 1), count);
   if (workers <= 1) {
     for (size_t i = 0; i < count; ++i) IDB_RETURN_IF_ERROR(fn(i));
@@ -138,7 +142,7 @@ Status WorkerPool::Run(size_t workers, size_t count,
     }
   };
   Ticket ticket;
-  TryDispatch(workers - 1, [&](size_t) { drain(); }, &ticket);
+  TryDispatch(workers - 1, [&](size_t) { drain(); }, &ticket, priority);
   drain();
   Wait(&ticket);
   return error;

@@ -25,9 +25,11 @@ namespace instantdb {
 /// count), so every accepted task is picked up promptly even when other
 /// tasks block indefinitely (a streaming scan's producers parked on a full
 /// prefetch queue hold their tokens; the next dispatch simply sees fewer
-/// free workers and the caller spawns or inlines the shortfall). That
-/// no-queueing-behind-busy-work guarantee is what makes borrowing safe for
-/// both blocking fan-outs and long-lived producers without a deadlock story.
+/// free workers and the caller runs the shortfall inline on its own
+/// thread). That no-queueing-behind-busy-work guarantee is what makes
+/// borrowing safe for both blocking fan-outs and long-lived producers
+/// without a deadlock story. This pool is the engine's only source of
+/// worker threads: nothing spawns extra threads when it is busy.
 ///
 /// Threads start on first use and park on a condition variable between
 /// tasks; an idle pool costs nothing until then.
@@ -41,8 +43,9 @@ class WorkerPool {
 
   size_t size() const { return size_; }
 
-  /// Handle for one TryDispatch: Wait() blocks until every accepted task
-  /// finished. Must be waited before the state captured by `fn` dies.
+  /// Handle for the TryDispatch calls made with it (they accumulate):
+  /// Wait() blocks until every accepted task finished. Must be waited
+  /// before the state captured by `fn` dies.
   class Ticket {
    public:
     Ticket() = default;
@@ -59,8 +62,8 @@ class WorkerPool {
 
   /// Borrows up to `want` currently-free pool workers and runs `fn(slot)`
   /// on each (slot in [0, returned)). Returns how many were borrowed —
-  /// possibly 0 when the pool is saturated; the caller runs (or spawns) the
-  /// shortfall itself. Never blocks.
+  /// possibly 0 when the pool is saturated; the caller runs the shortfall
+  /// inline. Never blocks.
   ///
   /// `priority` selects the token pool: normal dispatches (the default)
   /// never take the last `reserved()` free tokens, priority dispatches may
@@ -79,15 +82,15 @@ class WorkerPool {
   /// default-constructed or already-waited ticket returns immediately.
   void Wait(Ticket* ticket);
 
-  /// ParallelFor on the pool: runs `fn(0) .. fn(count - 1)` from an atomic
-  /// cursor with the CALLER always participating, helped by however many
-  /// pool workers are free right now (at most `workers - 1`). Progress is
+  /// Blocking fan-out: runs `fn(0) .. fn(count - 1)` from an atomic cursor
+  /// with the CALLER always participating, helped by however many pool
+  /// workers are free right now (at most `workers - 1`). Progress is
   /// therefore guaranteed even when the pool is saturated or `Run` is
   /// called from a pool worker — it degrades to inline, never deadlocks.
-  /// Error semantics match util/parallel.h ParallelFor: the first non-OK
-  /// status is returned; the failing worker stops claiming, siblings drain.
+  /// The first non-OK status is returned; the failing worker stops
+  /// claiming, siblings drain. `priority` is TryDispatch's.
   Status Run(size_t workers, size_t count,
-             const std::function<Status(size_t)>& fn);
+             const std::function<Status(size_t)>& fn, bool priority = false);
 
   /// Reserves `n` tokens (clamped to the pool size) for priority
   /// dispatches; normal TryDispatch sees a pool smaller by that many. 0

@@ -12,6 +12,7 @@
 #include "common/options.h"
 #include "storage/key_manager.h"
 #include "util/file.h"
+#include "util/worker_pool.h"
 #include "wal/log_record.h"
 #include "wal/wal_stream.h"
 
@@ -165,7 +166,7 @@ class WalManager {
   /// generation's records.
   Status RecoverCommitted(const std::vector<Lsn>& from, bool stream_local_apply,
                           const std::function<Status(const WalRecord&)>& redo,
-                          uint64_t* max_txn_id = nullptr);
+                          WorkerPool* pool, uint64_t* max_txn_id = nullptr);
 
   /// kEncryptedEpoch: destroys the keys of every epoch of `table` that ends
   /// at or before `safe_time` (all its tuples have left phase 0). Keys are

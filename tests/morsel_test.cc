@@ -6,16 +6,23 @@
 // including parallelism ABOVE the partition count, with pushdown on and
 // off; (c) range-bounded cursor resume exactness across morsel boundaries;
 // (d) work stealing on a 100%-skewed table, proving more than one worker
-// participates in one partition's scan; and (e) snapshot safety with a
-// concurrent degrader. Runs under ThreadSanitizer in scripts/verify.sh
-// --tsan: the scheduler's lock-free claim path and the shared worker pool
-// are exactly the cross-thread code it exercises.
+// participates in one partition's scan; (e) snapshot safety with a
+// concurrent degrader; and (f) the thread bound of the one-pool executor —
+// held-open streaming cursors never grow the process past the pool, and
+// scans stay exact when the pool grants no token at all. Runs under
+// ThreadSanitizer in scripts/verify.sh --tsan: the scheduler's lock-free
+// claim path and the shared worker pool are exactly the cross-thread code
+// it exercises.
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
+#include <fstream>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "catalog/builtin_domains.h"
@@ -28,6 +35,17 @@
 
 namespace instantdb {
 namespace {
+
+/// Threads of this process (the `Threads:` line of /proc/self/status), or
+/// -1 where that file does not exist.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
 
 TEST(MorselSchedulerTest, OrdinalsFlattenQueueMajor) {
   std::vector<std::vector<Morsel>> queues(2);
@@ -258,10 +276,6 @@ TEST_F(MorselScanTest, SkewedPartitionIsSharedByStealingWorkers) {
   constexpr int kRows = 4000;
   BuildDb(4, kRows, /*batch_rows=*/kRows);
   Session session(db_.get());
-  // Queue capacity 1 maximizes backpressure: the first worker blocks after
-  // a couple of morsels, so the stealing workers are the only runnable
-  // producers for most of the plan.
-  session.scan_options().prefetch_batches = 1;
 
   const auto plan = db_->GetTable("pings")->MorselPlan(1);
   size_t hot = 0;
@@ -368,6 +382,89 @@ TEST_F(MorselScanTest, ScanDuringDegradationStaysSnapshotSafe) {
         << "torn location: " << row.display()[1];
   }
   EXPECT_EQ(seen.size(), static_cast<size_t>(kRows));
+}
+
+TEST_F(MorselScanTest, OpenStreamingCursorsNeverGrowThreadsPastThePool) {
+  constexpr int kRows = 800;
+  constexpr size_t kCursors = 32;
+  BuildDb(4, kRows);
+  const size_t pool_size = db_->worker_pool()->size();
+  ASSERT_EQ(pool_size, 4u);
+  const int threads_before = ProcessThreads();
+  if (threads_before < 0) GTEST_SKIP() << "no /proc/self/status";
+
+  // Every cursor asks for parallelism 4 while the earlier ones still hold
+  // their pool tokens: each must make do with what the pool grants (its
+  // consumer scans the rest inline) instead of starting threads of its own.
+  std::vector<std::unique_ptr<Session>> sessions;
+  std::vector<std::unique_ptr<Cursor>> cursors;
+  std::vector<size_t> pulled(kCursors, 0);
+  for (size_t i = 0; i < kCursors; ++i) {
+    sessions.push_back(std::make_unique<Session>(db_.get()));
+    sessions.back()->scan_options().parallelism = 4;
+    sessions.back()->scan_options().morsel_pages = 1;
+    auto cursor = sessions.back()->ExecuteCursor("SELECT user FROM pings");
+    ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+    const CursorBatch* batch = nullptr;
+    auto more = (*cursor)->NextBatch(&batch);
+    ASSERT_TRUE(more.ok()) << more.status().ToString();
+    ASSERT_TRUE(*more);
+    pulled[i] = batch->size();
+    cursors.push_back(std::move(*cursor));
+  }
+  EXPECT_LE(ProcessThreads(), threads_before + static_cast<int>(pool_size));
+
+  // Every held-open cursor still drains to the exact row count.
+  for (size_t i = 0; i < kCursors; ++i) {
+    const CursorBatch* batch = nullptr;
+    for (;;) {
+      auto more = cursors[i]->NextBatch(&batch);
+      ASSERT_TRUE(more.ok()) << more.status().ToString();
+      if (!*more) break;
+      pulled[i] += batch->size();
+    }
+    EXPECT_EQ(pulled[i], static_cast<size_t>(kRows)) << "cursor " << i;
+  }
+  cursors.clear();
+  EXPECT_EQ(db_->worker_pool()->free_workers(), pool_size);
+}
+
+TEST_F(MorselScanTest, ScansStayExactWhenThePoolGrantsNoToken) {
+  constexpr int kRows = 800;
+  BuildDb(4, kRows);
+  WorkerPool* pool = db_->worker_pool();
+  // Park every normal-visible token: the scans below get no helper at all.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;
+  std::atomic<size_t> parked{0};
+  WorkerPool::Ticket ticket;
+  const size_t taken = pool->TryDispatch(
+      pool->size(),
+      [&](size_t) {
+        parked.fetch_add(1);
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return open; });
+      },
+      &ticket);
+  ASSERT_EQ(taken, pool->size() - pool->reserved());
+  while (parked.load() < taken) std::this_thread::yield();
+  ASSERT_EQ(pool->free_workers(), pool->reserved());
+
+  Session session(db_.get());
+  EXPECT_EQ(DrainCursor(&session, "SELECT user FROM pings", 4).size(),
+            static_cast<size_t>(kRows));
+  auto count = session.Execute("SELECT COUNT(*) FROM pings");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count->display[0][0], std::to_string(kRows));
+
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    open = true;
+  }
+  cv.notify_all();
+  pool->Wait(&ticket);
+  EXPECT_EQ(pool->free_workers(), pool->size());
 }
 
 }  // namespace

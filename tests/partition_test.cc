@@ -4,6 +4,9 @@
 #include "catalog/builtin_domains.h"
 #include "db/database.h"
 #include "gtest/gtest.h"
+#include "query/cursor.h"
+#include "query/parser.h"
+#include "query/session.h"
 #include "util/file.h"
 
 namespace instantdb {
@@ -130,15 +133,23 @@ TEST_P(PartitionTest, ScanBatchResumesAcrossPartitionBoundaries) {
     expected.insert(InsertPing("u" + std::to_string(i), "3 Av Foch"));
   }
 
-  Table* table = db_->GetTable("pings");
+  // A parallelism-1 streaming cursor with 7-row heap batches walks the
+  // partitions in order, resuming inside and across them.
+  Session session(db_.get());
+  session.scan_options().parallelism = 1;
+  auto statement = ParseStatement("SELECT user FROM pings");
+  ASSERT_TRUE(statement.ok());
+  auto cursor = Cursor::Open(&session, *statement, /*scan_batch_rows=*/7);
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
   std::multiset<RowId> seen;
-  TableScanPos pos;
-  bool done = false;
   int batches = 0;
-  while (!done) {
-    std::vector<RowView> batch;
-    ASSERT_TRUE(table->ScanBatch(&pos, 7, &batch, &done).ok());
-    for (const RowView& view : batch) seen.insert(view.row_id);
+  for (;;) {
+    const CursorBatch* batch = nullptr;
+    auto more = (*cursor)->NextBatch(&batch);
+    ASSERT_TRUE(more.ok()) << more.status().ToString();
+    if (!*more) break;
+    EXPECT_LE(batch->size(), 7u);
+    for (size_t i = 0; i < batch->size(); ++i) seen.insert(batch->row_id(i));
     ++batches;
     ASSERT_LE(batches, 100);  // termination guard
   }

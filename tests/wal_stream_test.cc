@@ -424,6 +424,7 @@ class WalTornTailTest : public ::testing::TestWithParam<WalPrivacyMode> {
 
   std::string dir_;
   std::unique_ptr<KeyManager> keys_;
+  WorkerPool pool_{2};
 };
 
 TEST_P(WalTornTailTest, TornStreamVoidsCrossStreamCommitAtomically) {
@@ -464,7 +465,8 @@ TEST_P(WalTornTailTest, TornStreamVoidsCrossStreamCommitAtomically) {
                                    [&](const WalRecord& record) {
                                      rows.push_back(record.row_id);
                                      return Status::OK();
-                                   })
+                                   },
+                                   &pool_)
                   .ok());
   EXPECT_EQ(rows, std::vector<RowId>{4});
 }
@@ -485,7 +487,8 @@ TEST_P(WalTornTailTest, MergedReplayFollowsCommitOrder) {
                                        txn_order.push_back(record.txn_id);
                                      }
                                      return Status::OK();
-                                   })
+                                   },
+                                   &pool_)
                   .ok());
   EXPECT_EQ(txn_order, (std::vector<uint64_t>{7, 8, 9}));
 }
@@ -507,7 +510,7 @@ TEST_P(WalTornTailTest, CommitSequenceResumesAfterRecovery) {
   uint64_t max_txn = 0;
   ASSERT_TRUE(wal.RecoverCommitted({0, 0}, /*stream_local_apply=*/false,
                                    [](const WalRecord&) { return Status::OK(); },
-                                   &max_txn)
+                                   &pool_, &max_txn)
                   .ok());
   EXPECT_EQ(max_txn, 8u);
   // Same txn id as the first generation, committed post-recovery: its CSN
